@@ -42,7 +42,7 @@ ingest" item:
   asserted by ``benchmarks/test_bench_wire.py``.
 * :mod:`repro.service.server` — :class:`LtamServer`, a stdlib-only asyncio
   server over an embedded engine.  Ops: ``decide``, ``decide_many``,
-  ``observe``, ``observe_batch`` (feeding the existing
+  ``enforce``, ``observe``, ``observe_batch`` (feeding the existing
   :class:`~repro.storage.ingest.MovementIngestor`; ``monitor`` and raw
   ``record`` sinks), ``query``, ``checkpoint``, ``health``.
 * :mod:`repro.service.cache` — :class:`DecisionCache`: decisions keyed by
@@ -209,10 +209,16 @@ whole package shares — a metrics registry plus a span model:
   :func:`~repro.service.telemetry.trace_event` at cache hit/miss/flight,
   ingest group-commit, bus publish/apply — is one thread-local read
   returning a shared no-op.  With a trace active, spans parent-link
-  automatically through a thread-local stack (activation survives the
-  executor hop), downstream processes **echo** their spans in the response
-  envelope, and the caller grafts them under its calling span: one
-  connected tree per request across router and partitions.  Requests
+  automatically through a thread-local stack.  The shared frame loop
+  (:class:`~repro.service.runtime.AsyncServiceHost`) activates the trace
+  on whichever thread runs the op — the loop thread for ops that cannot
+  block (``decide``, ``decide_many``, ``enforce``, ``health`` on a
+  server), an executor worker for the rest and for every op the router
+  forwards — so the ``server.op`` / ``router.op`` root span and everything
+  under it land in one tree either way.  Downstream processes **echo**
+  their spans in the response envelope, and the caller grafts them under
+  its calling span: one connected tree per request across router and
+  partitions.  Requests
   slower than the threshold get that tree dumped to the
   ``repro.service.requests`` logger.
 

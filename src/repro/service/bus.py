@@ -182,10 +182,13 @@ class InvalidationBus(AsyncServiceHost):
         if replay_buffer < 1:
             raise ServiceError(f"replay buffer must be positive, got {replay_buffer!r}")
         super().__init__(
-            host, port, frame_limit=DEFAULT_FRAME_LIMIT, max_connections=max_connections
+            host,
+            port,
+            frame_limit=DEFAULT_FRAME_LIMIT,
+            max_connections=max_connections,
+            auth_token=auth_token,
         )
         self._drop = drop
-        self._auth_token = auth_token
         self._seq = 0
         self._buffer: "deque[Tuple[int, Optional[str], List[Dict[str, Any]]]]" = deque(
             maxlen=replay_buffer

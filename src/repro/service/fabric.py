@@ -52,12 +52,9 @@ fabric-wide ``ledger`` convergence verdict (``repro route --status``).
 
 from __future__ import annotations
 
-import asyncio
 import bisect
 import json
-import logging
 import threading
-import time
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -70,23 +67,15 @@ from repro.storage.movement_db import MovementRecord
 from repro.storage.sharding import DEFAULT_VIRTUAL_NODES, stable_hash
 from repro.service import telemetry, wire as wireformat
 from repro.service.client import ConnectionPool, RequestLike, _coerce_request
-from repro.service.errors import (
-    ProtocolError,
-    ServiceAuthError,
-    ServiceBusyError,
-    ServiceError,
-)
+from repro.service.errors import ProtocolError, ServiceError
 from repro.service.protocol import (
     alert_from_dict,
     decision_from_dict,
-    decode_frame,
-    encode_frame,
-    error_to_dict,
     query_result_from_dict,
     record_to_wire,
     request_to_dict,
 )
-from repro.service.runtime import DEFAULT_FRAME_LIMIT, AsyncServiceHost
+from repro.service.runtime import DEFAULT_FRAME_LIMIT, AsyncServiceHost, ServiceConnection
 
 __all__ = [
     "DEFAULT_ROUTER_PORT",
@@ -97,10 +86,6 @@ __all__ = [
 
 #: Default port of a standalone ``repro route`` process.
 DEFAULT_ROUTER_PORT = 7473
-
-# Same request log the server's slow-request sampler writes to: one stream,
-# whichever tier sampled the request.
-_request_log = logging.getLogger("repro.service.requests")
 
 #: The full 32-bit hash ring the partition points live on.
 _RING_SPAN = 1 << 32
@@ -1037,40 +1022,44 @@ class FabricRouter:
             }
 
 
-class _RouterConnection:
-    """One router client's session: its negotiated framing."""
-
-    __slots__ = ("wire", "pending_wire", "decoder")
-
-    def __init__(self) -> None:
-        self.wire: str = wireformat.JSON
-        self.pending_wire: Optional[str] = None
-        self.decoder: Optional[wireformat.Decoder] = None
-
-    def apply_pending_upgrade(self) -> None:
-        if self.pending_wire is not None:
-            self.wire = self.pending_wire
-            self.pending_wire = None
-            self.decoder = wireformat.Decoder()
-
-
 class RouterServer(AsyncServiceHost):
     """A standalone ``repro route`` process: the router behind a socket.
 
     Speaks the same negotiated protocol as :class:`~repro.service.server
-    .LtamServer` — NDJSON until a client's ``hello`` upgrades its
-    connection to the binary framing — so an unmodified
-    :class:`~repro.service.client.ServiceClient` (or pool, or remote
-    PDP/PEP facade) pointed at the router sees one logical server whose
-    capacity happens to be a fleet.  The client-facing framing and the
-    router→partition framing are independent: each partition pool
-    negotiates its own (see :class:`FabricRouter`'s ``wire``).  Every op
-    does socket I/O toward the partitions, so dispatch always runs in the
-    default executor — the loop only frames and schedules.
+    .LtamServer`, through the same frame loop
+    (:class:`~repro.service.runtime.AsyncServiceHost`) — NDJSON until a
+    client's ``hello`` upgrades its connection to the binary framing — so
+    an unmodified :class:`~repro.service.client.ServiceClient` (or pool, or
+    remote PDP/PEP facade) pointed at the router sees one logical server
+    whose capacity happens to be a fleet.  The client-facing framing and
+    the router→partition framing are independent: each partition pool
+    negotiates its own (see :class:`FabricRouter`'s ``wire``).  Every routed
+    op does blocking socket I/O toward the partitions, so all of them run
+    in the default executor; only the connection-level ``hello`` (and the
+    typed refusal of an op the router does not route) is answered on the
+    loop thread.
     """
 
     _what = "the router"
     _thread_name = "ltam-router"
+    _span_name = "router.op"
+
+    #: every op the router forwards to its partitions.
+    _BLOCKING_OPS = frozenset(
+        {
+            "decide",
+            "decide_many",
+            "enforce",
+            "observe",
+            "observe_batch",
+            "query",
+            "checkpoint",
+            "sync",
+            "health",
+            "metrics",
+            "reshard",
+        }
+    )
 
     def __init__(
         self,
@@ -1084,201 +1073,23 @@ class RouterServer(AsyncServiceHost):
         slow_request_ms: Optional[float] = None,
         auth_token: Optional[str] = None,
     ) -> None:
-        super().__init__(host, port, frame_limit=frame_limit, max_connections=max_connections)
-        if wire_format not in (wireformat.BINARY, wireformat.JSON):
-            raise ServiceError(
-                f"unknown wire format {wire_format!r}; expected 'binary' or 'json'"
-            )
-        self._binary_enabled = wire_format == wireformat.BINARY
+        super().__init__(
+            host,
+            port,
+            frame_limit=frame_limit,
+            max_connections=max_connections,
+            registry=router.metrics,
+            ops=("hello", *sorted(self._BLOCKING_OPS)),
+            wire_format=wire_format,
+            auth_token=auth_token,
+            slow_request_ms=slow_request_ms,
+        )
         self._router = router
-        self._slow_request_ms = slow_request_ms
-        self._auth_token = auth_token
-        registry = router.metrics
-        self._auth_refused = registry.counter("repro_auth_refused_total")
-        self._op_latency = {
-            op: registry.histogram("repro_op_latency_seconds", op=op)
-            for op in ("decide", "decide_many", "enforce", "observe", "observe_batch",
-                       "query", "checkpoint", "sync", "health", "metrics", "hello", "reshard")
-        }
-        self._op_errors = registry.counter("repro_op_errors_total")
-        self._slow_sampled = registry.counter("repro_slow_requests_total")
-        registry.gauge("repro_connections_live", fn=lambda: self._live_connections)
-        registry.gauge("repro_connections_max", fn=lambda: self._max_connections or 0)
-        registry.gauge("repro_connections_busy_refused", fn=lambda: self._busy_refused)
 
     @property
     def router(self) -> FabricRouter:
         """The routing core this process serves."""
         return self._router
 
-    @staticmethod
-    def _encode_error(
-        connection: _RouterConnection, message_id: Any, exc: BaseException
-    ) -> bytes:
-        envelope = {"id": message_id, "ok": False, "error": error_to_dict(exc)}
-        if connection.wire == wireformat.BINARY:
-            return wireformat.pack_frame(wireformat.encode_value(envelope))
-        return encode_frame(envelope)
-
-    async def _refuse_busy(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        # Same typed refusal as LtamServer's: connections start on NDJSON,
-        # so the id-less error line surfaces client-side as ServiceBusyError.
-        writer.write(
-            self._encode_error(
-                _RouterConnection(),
-                None,
-                ServiceBusyError(
-                    f"the router is at its connection cap ({self._max_connections}); retry later"
-                ),
-            )
-        )
-        await writer.drain()
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        loop = asyncio.get_running_loop()
-        connection = _RouterConnection()
-        self._writers.add(writer)
-        try:
-            while True:
-                oversize: Optional[ProtocolError] = None
-                if connection.wire == wireformat.BINARY:
-                    try:
-                        frame = await wireformat.read_frame(reader, self._frame_limit)
-                    except ProtocolError as exc:
-                        oversize, frame = exc, None
-                else:
-                    try:
-                        frame = await reader.readline()
-                    except ValueError:
-                        oversize = ProtocolError(
-                            f"frame exceeds the {self._frame_limit}-byte limit"
-                        )
-                        frame = None
-                if oversize is not None:
-                    writer.write(self._encode_error(connection, None, oversize))
-                    await writer.drain()
-                    break
-                if not frame:
-                    break
-                writer.write(await self._respond(loop, connection, frame))
-                await writer.drain()
-                connection.apply_pending_upgrade()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        except asyncio.CancelledError:
-            pass
-        finally:
-            self._writers.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-
-    def _dispatch(self, connection: _RouterConnection, message: Dict[str, Any]) -> Any:
-        if message.get("op") == "hello":
-            # Connection-level, answered by the router itself (a partition
-            # never sees it): the client negotiates with *us*.
-            chosen, result = wireformat.negotiate_hello(
-                message, binary_enabled=self._binary_enabled
-            )
-            if chosen == wireformat.BINARY and connection.wire != wireformat.BINARY:
-                connection.pending_wire = wireformat.BINARY
-            return result
+    def dispatch(self, connection: ServiceConnection, message: Dict[str, Any]) -> Any:
         return self._router.dispatch(message)
-
-    def _traced_dispatch(
-        self,
-        trace: telemetry.Trace,
-        connection: _RouterConnection,
-        message: Dict[str, Any],
-    ) -> Any:
-        # Runs on the executor thread: activate the trace there so the
-        # router.op span (and every router.call/router.fan_out span under
-        # it) parents correctly across the thread hop.
-        with telemetry.activated(trace):
-            with telemetry.trace_span("router.op", op=message.get("op")):
-                return self._dispatch(connection, message)
-
-    async def _respond(
-        self,
-        loop: asyncio.AbstractEventLoop,
-        connection: _RouterConnection,
-        frame: bytes,
-    ) -> bytes:
-        binary = connection.wire == wireformat.BINARY
-        message_id = None
-        op = None
-        trace: Optional[telemetry.Trace] = None
-        echo_spans = False
-        ok = True
-        started = time.perf_counter()
-        try:
-            if binary:
-                message = connection.decoder.decode(frame)
-                if not isinstance(message, dict):
-                    raise ProtocolError(
-                        f"a frame must be an object, got {type(message).__name__}"
-                    )
-            else:
-                message = decode_frame(frame)
-            message_id = message.get("id")
-            op = message.get("op")
-            if (
-                self._auth_token is not None
-                and op != "hello"
-                and message.get("auth") != self._auth_token
-            ):
-                self._auth_refused.inc()
-                raise ServiceAuthError(
-                    "this router requires a shared auth token (--auth-token) "
-                    "and the frame did not carry it"
-                )
-            tctx = message.get("tctx")
-            if tctx is not None:
-                trace = telemetry.Trace.from_tctx(tctx)
-                echo_spans = trace is not None
-            if trace is None and self._slow_request_ms is not None:
-                trace = telemetry.Trace()
-            if trace is not None:
-                result = await loop.run_in_executor(
-                    None, self._traced_dispatch, trace, connection, message
-                )
-            else:
-                result = await loop.run_in_executor(
-                    None, self._dispatch, connection, message
-                )
-            envelope = {"id": message_id, "ok": True, "result": result}
-            if echo_spans:
-                envelope["spans"] = trace.spans_to_wire()
-            if binary:
-                return wireformat.pack_frame(wireformat.encode_value(envelope))
-            return encode_frame(envelope)
-        except Exception as exc:  # noqa: BLE001 - every error ships back typed
-            ok = False
-            return self._encode_error(connection, message_id, exc)
-        finally:
-            elapsed = time.perf_counter() - started
-            latency = self._op_latency.get(op)
-            if latency is not None:
-                latency.observe(elapsed)
-            if not ok:
-                self._op_errors.inc()
-            if (
-                trace is not None
-                and self._slow_request_ms is not None
-                and elapsed * 1000.0 >= self._slow_request_ms
-            ):
-                self._slow_sampled.inc()
-                telemetry.dump_slow(
-                    _request_log,
-                    op=op,
-                    trace=trace,
-                    duration_ms=elapsed * 1000.0,
-                    threshold_ms=self._slow_request_ms,
-                    wire=connection.wire,
-                )

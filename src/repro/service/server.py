@@ -6,8 +6,9 @@ newline-delimited JSON protocol of :mod:`repro.service.protocol`.  The
 design follows the deployment the ROADMAP's "multi-process ingest" item
 asks for:
 
-* **decisions** (``decide`` / ``decide_many``) run the PDP pipeline
-  inline on the event loop — they are pure, fast reads.  With a
+* **decisions** (``decide`` / ``decide_many``, and the audited
+  ``enforce``) run the PDP pipeline inline on the event loop — they are
+  fast reads (``enforce`` adds an in-memory audit append).  With a
   :class:`~repro.service.cache.DecisionCache` attached, hits skip both the
   pipeline *and* response re-encoding (entries carry their wire form), and
   the cache subscribes to the movement store's mutation notifications so an
@@ -29,21 +30,29 @@ asks for:
   ``query`` evaluates the LTAM query language, ``checkpoint`` flushes
   pending ingest then checkpoints, and ``health`` reports counters.
 
-Concurrency: decide and health run inline on the loop (no interleaving
-mid-decision); every op that can block — ingest submission (queue
-backpressure), single observes (the monitor lock), query replays, and
-checkpoints (flush barrier + compaction) — runs in the default executor so
-one slow call never stalls other connections.  The engine tolerates this
-exactly as it tolerates the embedded streaming observe path — foreground
-reads race the background writer benignly (see the movement database's
-concurrency contract).
+Concurrency: ops are dispatched by whether they can block, not by name
+(the frame loop is :class:`~repro.service.runtime.AsyncServiceHost`'s).
+``decide``, ``decide_many``, ``enforce``, ``health`` and ``metrics`` run
+inline on the loop thread, hits and misses alike — a cache hit is a dict
+lookup (plus, for ``enforce``, an in-memory audit append), a miss is the
+same pipeline evaluation an embedded caller runs, and neither waits on a
+queue or a lock another thread holds for long.  For a cached request an
+executor hand-off costs more than the op itself (about 40% of the server
+CPU per request on the ``gate_hot`` benchmark).  Every op that can block — ingest submission (queue backpressure and
+flush barriers), single observes (the monitor lock), query replays,
+checkpoints (flush barrier + compaction), the coherence barrier and the
+fabric handoff ops — runs in the default executor so one slow call never
+stalls other connections.  Denial alerts raised by an inline ``enforce`` reach the
+alert sink's subscribed callbacks on the loop thread, so those callbacks
+must not block.  The engine tolerates the mix exactly as it tolerates the
+embedded streaming observe path — foreground reads race the background
+writer benignly (see the movement database's concurrency contract).
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import logging
 import threading
 import time
 from collections import Counter
@@ -65,28 +74,25 @@ from repro.service.bus import DEFAULT_SYNC_INTERVAL, ReplicaCoherence
 from repro.service.cache import DecisionCache
 from repro.service.cache_store import WireFragments, engine_fingerprint
 from repro.service.capacity import CapacityLedger
-from repro.service.errors import (
-    ProtocolError,
-    ServiceAuthError,
-    ServiceBusyError,
-    ServiceError,
-)
+from repro.service.errors import ProtocolError, ServiceError
 from repro.service.protocol import (
     alert_from_dict,
     alert_to_dict,
     checkpoint_to_dict,
     decision_to_dict,
-    decode_frame,
     elide_decision,
-    encode_frame,
-    error_to_dict,
     query_result_to_dict,
     record_from_wire,
     records_from_wire,
     records_to_wire,
     request_from_dict,
 )
-from repro.service.runtime import DEFAULT_FRAME_LIMIT, AsyncServiceHost
+from repro.service.runtime import (
+    DEFAULT_FRAME_LIMIT,
+    AsyncServiceHost,
+    RawJson,
+    ServiceConnection,
+)
 
 __all__ = ["LtamServer", "DEFAULT_PORT", "DEFAULT_FRAME_LIMIT", "INGEST_MODES"]
 
@@ -97,38 +103,11 @@ DEFAULT_PORT = 7471
 INGEST_MODES = ("monitor", "record")
 
 
-class _RawResult:
-    """A handler result that is already serialized JSON text.
-
-    The decide path serves cache hits as **pre-serialized fragments** —
-    skipping the pipeline is only half the win; at hot-pool rates the JSON
-    re-encoding of an unchanged decision costs as much as the lookup, so
-    the envelope is assembled by string joining instead of re-dumping.
-    """
-
-    __slots__ = ("text",)
-
-    def __init__(self, text: str) -> None:
-        self.text = text
-
-
-class _RawBinary:
-    """A handler result that is already a binary-codec value fragment."""
-
-    __slots__ = ("data",)
-
-    def __init__(self, data: bytes) -> None:
-        self.data = data
-
-
 # The cached-decision wire-fragment container moved to
 # :mod:`repro.service.cache_store` so the persistent tier can store and
 # rehydrate the exact same shape; the server keeps using it under its
 # historical local name.
 _Fragments = WireFragments
-
-#: Structured per-request log (one NDJSON line per op, ``--log-requests``).
-_request_log = logging.getLogger("repro.service.requests")
 
 
 def _dumps(payload: Dict[str, Any]) -> str:
@@ -238,8 +217,8 @@ class _SharedCheckpoint:
             return receipt
 
 
-class _Connection:
-    """Per-connection server state: this client's ingestors.
+class _Connection(ServiceConnection):
+    """Per-connection server state: framing plus this client's ingestors.
 
     Ingestors are **per connection** so failure attribution is honest: a
     rejected batch surfaces (with its records) on the flush of the client
@@ -248,26 +227,11 @@ class _Connection:
     neighbor's records.
     """
 
-    __slots__ = ("ingestors", "wire", "pending_wire", "decoder", "cache_outcome")
+    __slots__ = ("ingestors",)
 
     def __init__(self) -> None:
+        super().__init__()
         self.ingestors: Dict[str, MovementIngestor] = {}
-        #: the connection's negotiated framing; every connection starts on
-        #: NDJSON and may upgrade once via the ``hello`` op.
-        self.wire: str = wire.JSON
-        self.pending_wire: Optional[str] = None
-        self.decoder: Optional[wire.Decoder] = None
-        #: the current op's cache outcome for the request log ("hit",
-        #: "miss", "3/5", None).  Safe as per-connection state: frames on
-        #: one connection are handled strictly in sequence.
-        self.cache_outcome: Optional[str] = None
-
-    def apply_pending_upgrade(self) -> None:
-        """Switch framing after the ``hello`` response has been written."""
-        if self.pending_wire is not None:
-            self.wire = self.pending_wire
-            self.pending_wire = None
-            self.decoder = wire.Decoder()
 
 
 class LtamServer(AsyncServiceHost):
@@ -363,6 +327,8 @@ class LtamServer(AsyncServiceHost):
 
     _what = "the server"
     _thread_name = "ltam-server"
+    _span_name = "server.op"
+    _connection_class = _Connection
 
     def __init__(
         self,
@@ -387,18 +353,24 @@ class LtamServer(AsyncServiceHost):
         slow_request_ms: Optional[float] = None,
         auth_token: Optional[str] = None,
     ) -> None:
-        super().__init__(host, port, frame_limit=frame_limit, max_connections=max_connections)
-        if wire_format not in (wire.BINARY, wire.JSON):
-            raise ServiceError(
-                f"unknown wire format {wire_format!r}; expected 'binary' or 'json'"
-            )
-        #: ``binary`` = answer ``hello`` negotiations with the compact
-        #: framing; ``json`` = NDJSON only (hello still answered, politely).
-        self._binary_enabled = wire_format == wire.BINARY
+        # One registry per server: the single source of truth `health`, the
+        # `metrics` op, the Prometheus endpoint and `repro top` all read.
+        registry = telemetry.MetricsRegistry()
+        super().__init__(
+            host,
+            port,
+            frame_limit=frame_limit,
+            max_connections=max_connections,
+            registry=registry,
+            ops=("hello", *self._HANDLERS),
+            wire_format=wire_format,
+            auth_token=auth_token,
+            slow_request_ms=slow_request_ms,
+            log_requests=log_requests,
+        )
         self._engine = engine
         self._partition = partition
         self._partition_map = partition_map
-        self._auth_token = auth_token
         self._coherence: Optional[ReplicaCoherence] = None
         # The global capacity ledger exists exactly when this server is a
         # fabric partition with a bus to its peers.  Replicas sharing one
@@ -444,31 +416,15 @@ class LtamServer(AsyncServiceHost):
         self._unsubscribe = None
         self._cache_attached = False
         self._connect_cache()
-        self._log_requests = bool(log_requests)
-        self._slow_request_ms = slow_request_ms
         self._warm_report: Optional[Dict[str, int]] = None
-        # One registry per server: the single source of truth `health`, the
-        # `metrics` op, the Prometheus endpoint and `repro top` all read.
-        # The hot-path objects are pre-resolved here so per-request work is
-        # a dict index + a lock'd add, never a registry lookup.
-        registry = telemetry.MetricsRegistry()
-        self._registry = registry
+        # Pre-resolved like the frame loop's per-op metrics: per-request
+        # work is a dict index + a locked add, never a registry lookup.
         self._counters = {
             "decisions": registry.counter("repro_decisions_total"),
             "cache_hits": registry.counter("repro_cache_hits_total"),
             "observed": registry.counter("repro_observed_total"),
             "queries": registry.counter("repro_queries_total"),
         }
-        self._op_latency = {
-            op: registry.histogram("repro_op_latency_seconds", op=op)
-            for op in self._HANDLERS
-        }
-        self._op_counts = {
-            op: registry.counter("repro_ops_total", op=op) for op in self._HANDLERS
-        }
-        self._op_errors = registry.counter("repro_op_errors_total")
-        self._auth_refused = registry.counter("repro_auth_refused_total")
-        self._slow_sampled = registry.counter("repro_slow_requests_total")
         self._ingest_commit_latency = registry.histogram("repro_ingest_commit_seconds")
         self._register_gauges(registry)
         self._started_at: Optional[float] = None
@@ -529,24 +485,6 @@ class LtamServer(AsyncServiceHost):
         without a persistent cache tier)."""
         return self._warm_report
 
-    async def _refuse_busy(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        # Every connection starts on NDJSON, so the busy frame is always a
-        # JSON error line the client's first read will surface as a typed
-        # ServiceBusyError.
-        connection = _Connection()
-        writer.write(
-            self._encode_error(
-                connection,
-                None,
-                ServiceBusyError(
-                    f"the server is at its connection cap ({self._max_connections}); retry later"
-                ),
-            )
-        )
-        await writer.drain()
-
     def _bump(self, key: str, count: int = 1) -> None:
         # Handlers run on the loop thread and on executor threads; the
         # registry counters are individually locked.
@@ -562,11 +500,6 @@ class LtamServer(AsyncServiceHost):
         coherence layer and the ingestors keep their own counters exactly
         as before, and the registry samples them at collection time.
         """
-        registry.gauge("repro_connections_live", fn=lambda: self._live_connections)
-        registry.gauge(
-            "repro_connections_max", fn=lambda: self._max_connections or 0
-        )
-        registry.gauge("repro_connections_busy_refused", fn=lambda: self._busy_refused)
         registry.gauge(
             "repro_uptime_seconds",
             fn=lambda: (
@@ -740,65 +673,15 @@ class LtamServer(AsyncServiceHost):
                 self._retire_locked(mode, ingestor)
 
     # ------------------------------------------------------------------ #
-    # Connection handling
+    # Connection handling (the frame loop is AsyncServiceHost's)
     # ------------------------------------------------------------------ #
-    async def _handle_connection(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
-        try:
-            await self._client_loop(reader, writer)
-        except asyncio.CancelledError:
-            # Loop shutdown cancels connection tasks mid-read; ending the
-            # task cleanly (instead of cancelled) keeps asyncio's stream
-            # callback from logging spurious CancelledErrors.  Nothing else
-            # ever cancels these tasks.
-            pass
-
-    async def _client_loop(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
-        loop = asyncio.get_running_loop()
-        connection = _Connection()
-        self._writers.add(writer)
-        try:
-            while True:
-                oversize: Optional[ProtocolError] = None
-                if connection.wire == wire.BINARY:
-                    try:
-                        frame = await wire.read_frame(reader, self._frame_limit)
-                    except ProtocolError as exc:
-                        # Zero-length or over-limit header: the body was not
-                        # consumed, so the stream cannot be resynchronized.
-                        oversize, frame = exc, None
-                else:
-                    try:
-                        frame = await reader.readline()
-                    except ValueError:
-                        oversize = ProtocolError(
-                            f"frame exceeds the {self._frame_limit}-byte limit"
-                        )
-                        frame = None
-                if oversize is not None:
-                    # Report once and drop the connection.
-                    writer.write(
-                        self._encode_error(connection, None, oversize)
-                    )
-                    await writer.drain()
-                    break
-                if not frame:
-                    break
-                writer.write(await self._respond(loop, connection, frame))
-                await writer.drain()
-                connection.apply_pending_upgrade()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            self._writers.discard(writer)
-            if connection.ingestors:
-                # Flush-on-close durability per client; off the loop because
-                # close() joins the writer thread.
-                await loop.run_in_executor(None, self._close_connection_ingestors, connection)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
+    async def _connection_closed(self, connection: _Connection) -> None:
+        if connection.ingestors:
+            # Flush-on-close durability per client; off the loop because
+            # close() joins the writer thread.
+            await asyncio.get_running_loop().run_in_executor(
+                None, self._close_connection_ingestors, connection
+            )
 
     def _close_connection_ingestors(self, connection: _Connection) -> None:
         retired = connection.ingestors
@@ -826,16 +709,14 @@ class LtamServer(AsyncServiceHost):
         ingestor._ltam_server_folded = True  # type: ignore[attr-defined]
         _fold_ingest(self._ingest_totals, mode, ingestor)
 
-    #: operations that may block (queue backpressure, flush barriers,
-    #: monitor/storage locks, full-log query replays) and therefore run in
-    #: the executor, off the event loop.  Only the cached/pure-read decide
-    #: path and health stay inline; ``enforce`` is side-effecting (audit
-    #: writes, denial alerts through user-registered sink callbacks), so it
-    #: goes to the executor like ``observe`` even though its decision half
-    #: is decide-fast.
+    #: operations that may block — on ingest queue backpressure or a flush
+    #: barrier, the monitor or storage locks, full-log query replays, the
+    #: coherence barrier — and therefore run in the executor, off the event
+    #: loop.  ``decide``/``decide_many``/``enforce`` (hits and misses),
+    #: ``health`` and ``metrics`` stay inline: a hit is a dict lookup (plus
+    #: an in-memory audit append for ``enforce``), a miss the pipeline.
     _BLOCKING_OPS = frozenset(
         {
-            "enforce",
             "observe",
             "observe_batch",
             "query",
@@ -848,146 +729,14 @@ class LtamServer(AsyncServiceHost):
         }
     )
 
-    @staticmethod
-    def _encode_error(connection: _Connection, message_id: Any, exc: BaseException) -> bytes:
-        envelope = {"id": message_id, "ok": False, "error": error_to_dict(exc)}
-        if connection.wire == wire.BINARY:
-            return wire.pack_frame(wire.encode_value(envelope))
-        return encode_frame(envelope)
+    def _span_meta(self) -> Dict[str, Any]:
+        return {"partition": self._partition}
 
-    def _run_traced(self, trace, handler, connection: _Connection, message: Dict[str, Any]):
-        """Execute *handler* with *trace* active on the executing thread.
-
-        Activation is thread-local, so it must happen on whichever thread
-        actually runs the handler — inline on the loop or on an executor
-        worker — not on the thread that scheduled it.  The op span is the
-        local root every nested span (cache outcome, pipeline stages,
-        store pickup) parents to.
-        """
-        with telemetry.activated(trace):
-            with telemetry.trace_span(
-                "server.op", op=message.get("op"), partition=self._partition
-            ) as span:
-                result = handler(self, connection, message)
-                if connection.cache_outcome is not None:
-                    span.annotate(cache=connection.cache_outcome)
-                return result
-
-    async def _respond(
-        self, loop: asyncio.AbstractEventLoop, connection: _Connection, frame: bytes
-    ) -> bytes:
-        binary = connection.wire == wire.BINARY
-        message_id: Any = None
-        op: Any = None
-        ok = True
-        trace = None
-        echo_spans = False
-        connection.cache_outcome = None
-        started = time.perf_counter()
-        try:
-            if binary:
-                message = connection.decoder.decode(frame)
-                if not isinstance(message, dict):
-                    raise ProtocolError(
-                        f"a frame must be an object, got {type(message).__name__}"
-                    )
-            else:
-                message = decode_frame(frame)
-            message_id = message.get("id")
-            op = message.get("op")
-            if (
-                self._auth_token is not None
-                and op != "hello"  # negotiation carries no payload worth gating
-                and message.get("auth") != self._auth_token
-            ):
-                self._auth_refused.inc()
-                raise ServiceAuthError(
-                    "this server requires a shared auth token (--auth-token) "
-                    "and the frame did not carry it"
-                )
-            handler = self._HANDLERS.get(op)
-            if handler is None:
-                raise ProtocolError(f"unknown op {op!r}")
-            # Trace when the caller forwarded its context (tctx) or when
-            # local slow-request sampling is armed; a request that carried
-            # tctx gets the recorded spans back in its response envelope.
-            tctx = message.get("tctx")
-            if tctx is not None:
-                trace = telemetry.Trace.from_tctx(tctx)
-                echo_spans = trace is not None
-            if trace is None and self._slow_request_ms is not None:
-                trace = telemetry.Trace()
-            if trace is None:
-                if op in self._BLOCKING_OPS:
-                    result = await loop.run_in_executor(None, handler, self, connection, message)
-                else:
-                    result = handler(self, connection, message)
-            elif op in self._BLOCKING_OPS:
-                result = await loop.run_in_executor(
-                    None, self._run_traced, trace, handler, connection, message
-                )
-            else:
-                result = self._run_traced(trace, handler, connection, message)
-            if binary:
-                if isinstance(result, _RawBinary):
-                    result = wire.Raw(result.data)
-                envelope: Dict[str, Any] = {"id": message_id, "ok": True, "result": result}
-                if echo_spans:
-                    envelope["spans"] = trace.spans_to_wire()
-                return wire.pack_frame(wire.encode_value(envelope))
-            if isinstance(result, _RawResult):
-                if echo_spans:
-                    text = '{"id":%s,"ok":true,"spans":%s,"result":%s}\n' % (
-                        _dumps(message_id),
-                        _dumps(trace.spans_to_wire()),
-                        result.text,
-                    )
-                else:
-                    text = '{"id":%s,"ok":true,"result":%s}\n' % (
-                        _dumps(message_id),
-                        result.text,
-                    )
-                return text.encode("utf-8")
-            envelope = {"id": message_id, "ok": True, "result": result}
-            if echo_spans:
-                envelope["spans"] = trace.spans_to_wire()
-            return encode_frame(envelope)
-        except Exception as exc:  # noqa: BLE001 - every failure becomes a frame
-            ok = False
-            return self._encode_error(connection, message_id, exc)
-        finally:
-            elapsed = time.perf_counter() - started
-            latency = self._op_latency.get(op)
-            if latency is not None:
-                latency.observe(elapsed)
-                self._op_counts[op].inc()
-            if not ok:
-                self._op_errors.inc()
-            if (
-                trace is not None
-                and self._slow_request_ms is not None
-                and elapsed * 1000.0 >= self._slow_request_ms
-            ):
-                self._slow_sampled.inc()
-                telemetry.dump_slow(
-                    _request_log,
-                    op=op if isinstance(op, str) else str(op),
-                    trace=trace,
-                    duration_ms=elapsed * 1000.0,
-                    threshold_ms=self._slow_request_ms,
-                    wire=connection.wire,
-                )
-            if self._log_requests:
-                _request_log.info(
-                    '{"op":%s,"wire":%s,"ok":%s,"duration_us":%d,"cache":%s}',
-                    _dumps(op if isinstance(op, str) else str(op)),
-                    _dumps(connection.wire),
-                    "true" if ok else "false",
-                    int(elapsed * 1e6),
-                    _dumps(connection.cache_outcome)
-                    if connection.cache_outcome is not None
-                    else "null",
-                )
+    def dispatch(self, connection: _Connection, message: Dict[str, Any]) -> Any:
+        handler = self._HANDLERS.get(message["op"])
+        if handler is None:
+            raise ProtocolError(f"unknown op {message['op']!r}")
+        return handler(self, connection, message)
 
     # ------------------------------------------------------------------ #
     # Operation handlers
@@ -1051,15 +800,6 @@ class LtamServer(AsyncServiceHost):
             return fragments.binary(decision, include_trace)
         return fragments.json_full if include_trace else fragments.json_elided
 
-    def _op_hello(self, connection, message: Dict[str, Any]) -> Dict[str, Any]:
-        """Wire-format negotiation; the switch applies after this response."""
-        chosen, result = wire.negotiate_hello(
-            message, binary_enabled=self._binary_enabled
-        )
-        if chosen == wire.BINARY and connection.wire != wire.BINARY:
-            connection.pending_wire = wire.BINARY
-        return result
-
     def _op_decide(self, connection, message: Dict[str, Any]):
         include_trace = bool(message.get("trace", False))
         binary = connection.wire == wire.BINARY
@@ -1069,18 +809,18 @@ class LtamServer(AsyncServiceHost):
             fragment = self._cached_fragment(raw_request, include_trace, binary)
             if fragment is not None:
                 connection.cache_outcome = "hit"
-                return _RawBinary(fragment) if binary else _RawResult(fragment)
+                return wire.Raw(fragment) if binary else RawJson(fragment)
         request = request_from_dict(raw_request)
         if self._cache is not None:
             connection.cache_outcome = "miss"
             token = self._cache.generation(request.location)
             decision = self._engine.pdp.decide(request)
             fragment = self._prime_cache(request, decision, include_trace, binary, token)
-            return _RawBinary(fragment) if binary else _RawResult(fragment)
+            return wire.Raw(fragment) if binary else RawJson(fragment)
         decision = self._engine.pdp.decide(request, trace=include_trace)
         if binary:
-            return _RawBinary(_binary_decision(decision, include_trace))
-        return _RawResult(_json_decision(decision, include_trace))
+            return wire.Raw(_binary_decision(decision, include_trace))
+        return RawJson(_json_decision(decision, include_trace))
 
     def _op_decide_many(self, connection, message: Dict[str, Any]):
         raw_requests = message.get("requests", ())
@@ -1091,7 +831,7 @@ class LtamServer(AsyncServiceHost):
             requests = [request_from_dict(item) for item in raw_requests]
             decisions = self._engine.pdp.decide_many(requests, trace=include_trace)
             if binary:
-                return _RawBinary(
+                return wire.Raw(
                     wire.encode_value(
                         {
                             "decisions": [
@@ -1104,7 +844,7 @@ class LtamServer(AsyncServiceHost):
             fragments = [
                 _json_decision(decision, include_trace) for decision in decisions
             ]
-            return _RawResult('{"decisions":[%s]}' % ",".join(fragments))
+            return RawJson('{"decisions":[%s]}' % ",".join(fragments))
         fragments: List[Any] = []
         misses: List[Tuple[int, Any]] = []
         for raw_request in raw_requests:
@@ -1131,20 +871,20 @@ class LtamServer(AsyncServiceHost):
                     request, decision, include_trace, binary, token
                 )
         if binary:
-            return _RawBinary(
+            return wire.Raw(
                 wire.encode_value(
                     {"decisions": [wire.Raw(fragment) for fragment in fragments]}
                 )
             )
-        return _RawResult('{"decisions":[%s]}' % ",".join(fragments))
+        return RawJson('{"decisions":[%s]}' % ",".join(fragments))
 
     @staticmethod
     def _wrap_enforce(fragment, cached: bool, binary: bool):
         if binary:
-            return _RawBinary(
+            return wire.Raw(
                 wire.encode_value({"cached": cached, "decision": wire.Raw(fragment)})
             )
-        return _RawResult(
+        return RawJson(
             '{"cached":%s,"decision":%s}' % ("true" if cached else "false", fragment)
         )
 
@@ -1525,7 +1265,6 @@ class LtamServer(AsyncServiceHost):
         return info
 
     _HANDLERS = {
-        "hello": _op_hello,
         "decide": _op_decide,
         "decide_many": _op_decide_many,
         "enforce": _op_enforce,

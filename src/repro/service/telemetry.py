@@ -74,12 +74,13 @@ __all__ = [
     "dump_slow",
 ]
 
-#: Default latency buckets, in seconds: 100 µs .. 10 s, roughly
-#: logarithmic.  Decides on a warm cache land in the first few buckets;
-#: anything past 25 ms is pipeline work or a stall worth a trace.
-DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
-    0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005,
-    0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
+#: Default latency buckets, in seconds: log-spaced at four per octave
+#: (each bound ~19% above the last, rounded to three significant digits)
+#: from 1 µs to past 10 s.  A cached op handled inline takes tens of µs, so
+#: the hot path needs µs-scale resolution; an interpolated quantile is off
+#: by at most one bucket's width.
+DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = tuple(
+    float("%.3g" % (1e-6 * 2 ** (step / 4))) for step in range(95)
 )
 
 

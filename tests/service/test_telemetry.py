@@ -14,8 +14,10 @@ Three families of tests:
 
 from __future__ import annotations
 
+import bisect
 import json
 import logging
+import statistics
 import urllib.request
 
 import pytest
@@ -35,6 +37,7 @@ from repro.service import (
     engine_fingerprint,
 )
 from repro.service import telemetry
+from repro.service.protocol import encode_frame, request_to_dict
 from repro.service.telemetry import (
     MetricsExporter,
     MetricsRegistry,
@@ -235,6 +238,39 @@ class TestServerTelemetry:
             item for item in document["gauges"] if item["name"] == "repro_cache_size"
         ]
         assert cache_size and cache_size[0]["value"] >= 1
+
+    def test_histogram_resolves_a_cached_decide(self):
+        # The op histogram's p50 for cached decides must agree with the
+        # median of the frame loop's own perf_counter timings of the same
+        # requests to within one bucket (and one bucket's width), and the
+        # hot path must land above the first bucket: a floor that swallows
+        # every cached op reports interpolation, not measurement.
+        hierarchy = _hierarchy()
+        server = LtamServer(_seeded_engine(hierarchy), cache=DecisionCache())
+        histogram = server.metrics.histogram("repro_op_latency_seconds", op="decide")
+        timings = []
+
+        class Recorder:
+            def observe(self, elapsed):
+                timings.append(elapsed)
+                histogram.observe(elapsed)
+
+        server._op_latency["decide"] = Recorder()
+        connection = server._connection_class()
+        request = request_to_dict(_requests(hierarchy, count=1)[0])
+        frame = encode_frame({"id": 1, "op": "decide", "request": request})
+        for _ in range(2001):  # the first one misses and primes the cache
+            coroutine = server._respond(connection, frame)
+            with pytest.raises(StopIteration):  # an inline op never suspends
+                coroutine.send(None)
+        measured = statistics.median(timings[1:])
+        reported = histogram.snapshot()["p50"]
+        bounds = telemetry.DEFAULT_LATENCY_BUCKETS
+        measured_bucket = bisect.bisect_left(bounds, measured)
+        assert measured_bucket > 0, f"a {measured * 1e6:.1f} us op fell in the first bucket"
+        assert abs(bisect.bisect_left(bounds, reported) - measured_bucket) <= 1
+        width = bounds[measured_bucket] / bounds[measured_bucket - 1]
+        assert 1 / width <= reported / measured <= width, (reported, measured)
 
     @pytest.mark.parametrize("wire", ["json", "binary"])
     def test_spans_echoed_and_grafted(self, wire):
